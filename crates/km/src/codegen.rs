@@ -92,14 +92,16 @@ pub struct EvalProgram {
     /// [`CodegenEnv::ns`] the program was generated under). The runtime
     /// must create/drop the program's temporaries through this.
     pub ns: String,
-    /// Derived tables to create: predicate → column types.
+    /// Derived tables to create: predicate → column types. The result
+    /// predicate has none: no rule reads it, so the runtime returns its
+    /// rules' rows as the answer without storing them.
     pub tables: BTreeMap<String, Vec<AttrType>>,
     /// Ground facts to seed, grouped by predicate (magic seeds and
     /// workspace facts for predicates without a stored base relation).
     pub seeds: Vec<(String, Vec<Vec<Value>>)>,
     /// Evaluation-order nodes.
     pub nodes: Vec<ProgNode>,
-    /// Predicate whose table holds the query answer.
+    /// Predicate whose rules (plus any seeds) give the query answer.
     pub result_pred: String,
     /// Column types of the answer.
     pub result_types: Vec<AttrType>,
@@ -380,10 +382,11 @@ pub fn generate(
     env: &CodegenEnv<'_>,
 ) -> Result<EvalProgram, KmError> {
     // Tables: every derived predicate appearing in the order list plus
-    // every fact-seeded predicate that is not a stored base relation.
+    // every fact-seeded predicate that is not a stored base relation —
+    // except the result predicate, whose rows go straight to the answer.
     let mut tables: BTreeMap<String, Vec<AttrType>> = BTreeMap::new();
     let mut want_table = |pred: &str| -> Result<(), KmError> {
-        if env.base_preds.contains(pred) || tables.contains_key(pred) {
+        if pred == result_pred || env.base_preds.contains(pred) || tables.contains_key(pred) {
             return Ok(());
         }
         let types = env
@@ -413,6 +416,11 @@ pub fn generate(
         for rule in node.rules() {
             want_table(&rule.head.predicate)?;
             for atom in rule.all_body_atoms() {
+                if atom.predicate == result_pred {
+                    return Err(KmError::Internal(format!(
+                        "result predicate {result_pred} is read by rule {rule}"
+                    )));
+                }
                 want_table(&atom.predicate)?;
             }
         }
@@ -456,7 +464,6 @@ pub fn generate(
         .get(result_pred)
         .cloned()
         .ok_or_else(|| KmError::Internal(format!("no types for result {result_pred}")))?;
-    want_table(result_pred)?;
 
     Ok(EvalProgram {
         ns: env.ns.to_string(),
@@ -611,7 +618,10 @@ mod tests {
         assert_eq!(prog.result_pred, "_query");
         assert_eq!(prog.result_types, vec![AttrType::Sym]);
         assert!(prog.tables.contains_key("anc"));
-        assert!(prog.tables.contains_key("_query"));
+        assert!(
+            !prog.tables.contains_key("_query"),
+            "the answer is read straight from the query rule"
+        );
         assert!(
             !prog.tables.contains_key("parent"),
             "base tables not recreated"
@@ -647,11 +657,15 @@ mod tests {
             parse_clause("m_anc(adam).").unwrap(),
             parse_clause("m_anc(bob).").unwrap(),
         ];
-        let prog = generate(&[], &seeds, "m_anc", &env).unwrap();
+        let prog = generate(&[], &seeds, "anc", &env).unwrap();
         assert_eq!(prog.seeds.len(), 1);
         assert_eq!(prog.seeds[0].0, "m_anc");
         assert_eq!(prog.seeds[0].1.len(), 2);
         assert!(prog.tables.contains_key("m_anc"));
+        // Seeds of the result predicate join the answer without a table.
+        let prog = generate(&[], &seeds, "m_anc", &env).unwrap();
+        assert_eq!(prog.seeds[0].1.len(), 2);
+        assert!(!prog.tables.contains_key("m_anc"));
     }
 
     #[test]

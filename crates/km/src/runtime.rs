@@ -669,6 +669,8 @@ struct NodeOut {
     /// statement's time and the clique trace gets zero setup.
     tc: bool,
     worker: usize,
+    /// The query answer, when this node evaluated the result predicate.
+    answer: Option<Vec<Vec<Value>>>,
 }
 
 /// Evaluate one node of the evaluation order.
@@ -685,12 +687,24 @@ fn eval_node(
 ) -> Result<NodeOut, KmError> {
     let node_start = Instant::now();
     match node {
+        ProgNode::Predicate { pred, rules } if *pred == prog.result_pred => {
+            let (breakdown, answer) = eval_answer(db, prog, rules, ctl)?;
+            Ok(NodeOut {
+                breakdown,
+                iterations: Vec::new(),
+                elapsed: node_start.elapsed(),
+                tc: false,
+                worker: 0,
+                answer: Some(answer),
+            })
+        }
         ProgNode::Predicate { rules, .. } => Ok(NodeOut {
             breakdown: eval_predicate(db, &prog.ns, rules, ctl)?,
             iterations: Vec::new(),
             elapsed: node_start.elapsed(),
             tc: false,
             worker: 0,
+            answer: None,
         }),
         ProgNode::Clique {
             preds,
@@ -756,6 +770,7 @@ fn eval_node(
                         elapsed,
                         tc: true,
                         worker: 0,
+                        answer: None,
                     });
                 }
             }
@@ -807,20 +822,22 @@ fn eval_node(
                 elapsed: node_start.elapsed(),
                 tc: false,
                 worker: 0,
+                answer: None,
             })
         }
     }
 }
 
 /// Fold one node's result into the outcome accumulators, in evaluation
-/// order — regardless of which worker evaluated it when.
+/// order — regardless of which worker evaluated it when. Returns the
+/// query answer if the node evaluated the result predicate.
 fn record_node(
     node: &ProgNode,
     out: NodeOut,
     breakdown: &mut LfpBreakdown,
     node_timings: &mut Vec<NodeTiming>,
     clique_traces: &mut Vec<CliqueTrace>,
-) {
+) -> Option<Vec<Vec<Value>>> {
     let predicates: Vec<String> = node.predicates().iter().map(|s| s.to_string()).collect();
     let is_magic = predicates.iter().all(|p| p.starts_with("m_"));
     breakdown.absorb(&out.breakdown);
@@ -847,6 +864,7 @@ fn record_node(
         breakdown: out.breakdown,
         worker: out.worker,
     });
+    out.answer
 }
 
 /// Shared state of the clique DAG scheduler.
@@ -1082,7 +1100,12 @@ fn run_program_inner(
     breakdown.n_temp_ops += 2 * prog.tables.len() as u64;
     let t = Instant::now();
     for (pred, rows) in &prog.seeds {
-        let added = db.insert_rows_batched(&all_table(&prog.ns, pred), dedup(rows.clone()))?;
+        let added = if *pred == prog.result_pred {
+            // Result seeds have no table; they join the answer directly.
+            result_seeds(prog).len() as u64
+        } else {
+            db.insert_rows_batched(&all_table(&prog.ns, pred), dedup(rows.clone()))?
+        };
         breakdown.tuples_produced += added;
         if let Err(br) = ctl.charge_facts(added) {
             return Err(budget_err(
@@ -1101,6 +1124,7 @@ fn run_program_inner(
     // evaluation-order either way, so consumers see the same shape.
     let mut node_timings = Vec::with_capacity(prog.nodes.len());
     let mut clique_traces = Vec::new();
+    let mut answer = None;
     let mut eval_err: Option<KmError> = None;
     if workers <= 1 {
         for node in &prog.nodes {
@@ -1114,13 +1138,15 @@ fn run_program_inner(
                 workers,
                 ctl,
             ) {
-                Ok(out) => record_node(
-                    node,
-                    out,
-                    &mut breakdown,
-                    &mut node_timings,
-                    &mut clique_traces,
-                ),
+                Ok(out) => {
+                    answer = answer.or(record_node(
+                        node,
+                        out,
+                        &mut breakdown,
+                        &mut node_timings,
+                        &mut clique_traces,
+                    ))
+                }
                 Err(e) => {
                     eval_err = Some(e);
                     break;
@@ -1131,13 +1157,13 @@ fn run_program_inner(
         match run_nodes_parallel(&db, prog, strategy, special_tc, prepared_sql, workers, ctl) {
             Ok(outs) => {
                 for (node, out) in prog.nodes.iter().zip(outs) {
-                    record_node(
+                    answer = answer.or(record_node(
                         node,
                         out,
                         &mut breakdown,
                         &mut node_timings,
                         &mut clique_traces,
-                    );
+                    ));
                 }
             }
             Err(e) => eval_err = Some(e),
@@ -1156,13 +1182,8 @@ fn run_program_inner(
         ));
     }
 
-    // Read the answer.
-    let rs = db.execute(&format!(
-        "SELECT DISTINCT * FROM {}",
-        all_table(&prog.ns, &prog.result_pred)
-    ))?;
-    let mut rows = rs.rows;
-    rows.sort();
+    // A program without a result node answers with its result seeds.
+    let rows = answer.unwrap_or_else(|| result_seeds(prog));
 
     // Clean up exactly the temporaries this run created (user-created
     // temp tables in the same engine are not ours to drop).
@@ -1224,6 +1245,60 @@ fn insert_new(db: &DbHandle, target: &str, select_sql: &str) -> Result<u64, KmEr
         "INSERT INTO {target} {select_sql} EXCEPT SELECT * FROM {target}"
     ))?;
     Ok(rs.affected)
+}
+
+/// The seed rows of the result predicate, sorted and deduplicated.
+fn result_seeds(prog: &EvalProgram) -> Vec<Vec<Value>> {
+    dedup(
+        prog.seeds
+            .iter()
+            .filter(|(pred, _)| *pred == prog.result_pred)
+            .flat_map(|(_, rows)| rows.iter().cloned())
+            .collect(),
+    )
+}
+
+/// Evaluate the result node. No rule reads the result predicate, so its
+/// rules' `SELECT DISTINCT` rows, together with any result seeds, are the
+/// answer as they stand: nothing is stored and read back. The derived-fact
+/// budget is charged for the answer rows the rules add beyond the seeds,
+/// which were charged when the seeds were loaded.
+fn eval_answer(
+    db: &DbHandle,
+    prog: &EvalProgram,
+    rules: &[RuleSql],
+    ctl: &EvalCtl,
+) -> Result<(LfpBreakdown, Vec<Vec<Value>>), KmError> {
+    let mut b = LfpBreakdown::default();
+    let mut rows = result_seeds(prog);
+    let seeded = rows.len();
+    for rule in rules {
+        if let Err(br) = ctl.check_deadline() {
+            return Err(budget_err(
+                br,
+                PartialProgress {
+                    breakdown: b,
+                    ..PartialProgress::default()
+                },
+            ));
+        }
+        let rs = timed(&mut b.t_eval_rhs, || db.execute(&rule.full_sql))?;
+        b.n_eval_stmts += 1;
+        rows.extend(rs.rows);
+    }
+    let rows = timed(&mut b.t_eval_rhs, || dedup(rows));
+    let added = (rows.len() - seeded) as u64;
+    b.tuples_produced += added;
+    if let Err(br) = ctl.charge_facts(added) {
+        return Err(budget_err(
+            br,
+            PartialProgress {
+                breakdown: b,
+                ..PartialProgress::default()
+            },
+        ));
+    }
+    Ok((b, rows))
 }
 
 /// Evaluate a non-recursive predicate node: one pass over its rules.
@@ -2171,10 +2246,10 @@ mod tests {
         let prog = compile(&program, &db);
         let out = run_program(&mut db, &prog, LfpStrategy::SemiNaive).unwrap();
         let per_run = db.stats().tables_created - created_before;
-        // d_anc, d__query, new_anc, delta_anc: one CREATE each, regardless
-        // of iteration count — the unprepared path would create new/delta
-        // tables every iteration.
-        assert_eq!(per_run, 4, "temp tables are recycled, not recreated");
+        // d_anc, new_anc, delta_anc: one CREATE each, regardless of
+        // iteration count — the unprepared path would create new/delta
+        // tables every iteration. The answer needs no table.
+        assert_eq!(per_run, 3, "temp tables are recycled, not recreated");
         assert!(out.breakdown.iterations >= 5);
     }
 
@@ -2250,6 +2325,69 @@ mod tests {
         assert!(used > 12, "charge observed the overshoot");
         assert!(!partial.clique_traces.is_empty());
         assert!(db.execute("SELECT * FROM parent").is_ok());
+    }
+
+    #[test]
+    fn answer_rows_are_charged_to_the_fact_budget() {
+        // Chain of 10: the anc clique derives C(10,2) = 45 facts and the
+        // answer adds its 45 rows, so 90 facts fit and 89 do not.
+        let (program, _) = ancestor_program("?- anc(A, B).");
+        let run = |max: u64| {
+            let mut db = chain_engine(10);
+            let prog = compile(&program, &db);
+            let limits = EvalLimits {
+                max_derived_facts: Some(max),
+                ..EvalLimits::default()
+            };
+            run_program_governed(&mut db, &prog, LfpStrategy::SemiNaive, false, true, &limits)
+        };
+        let out = run(90).expect("the whole evaluation fits");
+        assert_eq!(out.rows.len(), 45);
+        assert_eq!(out.breakdown.tuples_produced, 90);
+        let (resource, limit, used, _) = budget_parts(run(89).unwrap_err());
+        assert_eq!(resource, EvalResource::DerivedFacts);
+        assert_eq!((limit, used), (89, 90), "tripped on the answer rows");
+    }
+
+    #[test]
+    fn lfp_temporaries_analyze_without_rescans() {
+        // Chain of 40: d_anc grows to C(40,2) = 780 rows, past the
+        // auto-analyze floor, but every analyze reads its write-path sample.
+        let mut db = chain_engine(40);
+        let (program, _) = ancestor_program("?- anc(A, B).");
+        let prog = compile(&program, &db);
+        let before = db.metrics();
+        let out = run_program(&mut db, &prog, LfpStrategy::SemiNaive).unwrap();
+        assert_eq!(out.rows.len(), 780);
+        let after = db.metrics();
+        let delta = |name| after.counter_value(name) - before.counter_value(name);
+        assert!(
+            delta("stats.refreshes") > 0,
+            "the accumulated table was analyzed"
+        );
+        assert_eq!(delta("stats.rescans"), 0, "no analyze read the heap");
+    }
+
+    #[test]
+    fn result_seeds_join_the_answer() {
+        let mut db = chain_engine(4);
+        let (program, _) = ancestor_program("?- anc(a0, W).");
+        let mut prog = compile(&program, &db);
+        assert!(!prog.tables.contains_key("_query"));
+        // One seed the rules also derive, one they cannot.
+        prog.seeds.push((
+            "_query".into(),
+            vec![vec![Value::from("zz")], vec![Value::from("a1")]],
+        ));
+        let created = db.stats().tables_created;
+        let out = run_program(&mut db, &prog, LfpStrategy::SemiNaive).unwrap();
+        let expect: Vec<Vec<Value>> = ["a1", "a2", "a3", "zz"]
+            .iter()
+            .map(|v| vec![Value::from(*v)])
+            .collect();
+        assert_eq!(out.rows, expect, "sorted, deduplicated, seeds included");
+        // d_anc, new_anc, delta_anc; no table for the answer.
+        assert_eq!(db.stats().tables_created - created, 3);
     }
 
     #[test]

@@ -25,6 +25,16 @@ pub struct Table {
     pub stats: TableStats,
 }
 
+impl Table {
+    /// Give an empty temporary table a fresh write-path sample; persistent
+    /// tables keep none (see [`crate::stats`]).
+    pub(crate) fn restart_sample(&mut self) {
+        if self.is_temp {
+            self.stats.start_sample(&self.name);
+        }
+    }
+}
+
 /// Errors surfaced by catalog operations (and re-used by the SQL layer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbError {
@@ -108,17 +118,16 @@ impl Catalog {
             return Err(DbError::TableExists(name.to_string()));
         }
         let heap = HeapFile::create(disk);
-        self.tables.insert(
-            key,
-            Arc::new(Table {
-                name: name.to_string(),
-                schema,
-                heap,
-                indexes: Vec::new(),
-                is_temp,
-                stats: TableStats::default(),
-            }),
-        );
+        let mut table = Table {
+            name: name.to_string(),
+            schema,
+            heap,
+            indexes: Vec::new(),
+            is_temp,
+            stats: TableStats::default(),
+        };
+        table.restart_sample();
+        self.tables.insert(key, Arc::new(table));
         Ok(())
     }
 

@@ -17,7 +17,7 @@ use crate::plan::{output_types, plan_query, ExecCond, PlannedQuery};
 use crate::schema::{serialize_tuple, Schema, Tuple};
 use crate::sql::ast::{CmpOp, ColRef, Condition, Query, Scalar, SelectItem, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt, parse_stmt_params};
-use crate::stats::{Reservoir, RESERVOIR_CAP};
+use crate::stats::{analyze_seed, Reservoir, RESERVOIR_CAP};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -183,6 +183,8 @@ pub struct Engine {
     planner_mode: PlannerMode,
     /// Statistics refreshes (analyze scans) run, and rows sampled by them.
     stats_refreshes: u64,
+    /// Refreshes that had to scan the heap (no covering write-path sample).
+    stats_rescans: u64,
     stats_sampled_rows: u64,
     /// Rewrite-rule activity accumulated at plan time.
     rewrite_predicates_pushed: u64,
@@ -238,6 +240,7 @@ impl Engine {
             batch_rows: default_batch_rows(),
             planner_mode: default_planner_mode(),
             stats_refreshes: 0,
+            stats_rescans: 0,
             stats_sampled_rows: 0,
             rewrite_predicates_pushed: 0,
             rewrite_projections_pruned: 0,
@@ -447,6 +450,7 @@ impl Engine {
             batch_rows: self.batch_rows,
             planner_mode: self.planner_mode,
             stats_refreshes: 0,
+            stats_rescans: 0,
             stats_sampled_rows: 0,
             rewrite_predicates_pushed: 0,
             rewrite_projections_pruned: 0,
@@ -614,6 +618,9 @@ impl Engine {
         let pool = &mut self.pool;
         for table in self.catalog.tables_mut() {
             table.heap.rebuild_stats(disk, pool)?;
+            // The restored pages may hold other rows than the write-path
+            // sample saw.
+            table.stats.sample = None;
             if table.indexes.is_empty() {
                 continue;
             }
@@ -1100,6 +1107,9 @@ impl Engine {
             for index in &mut t.indexes {
                 index.insert(&row, rid);
             }
+            if let Some(sample) = &mut t.stats.sample {
+                sample.offer_ref(&row);
+            }
             n += 1;
         }
         t.stats.note_mods(n);
@@ -1118,28 +1128,30 @@ impl Engine {
     }
 
     /// Rebuild `table`'s column statistics from a deterministic reservoir
-    /// sample of its live rows. Runs ungoverned — an analyze scan is engine
-    /// maintenance charged to no statement's budget — and bumps the stats
-    /// version so cached plans costed from the old estimates re-plan.
+    /// sample of its live rows: the table's write-path sample when it
+    /// covers exactly the live rows, else a fresh sample from a heap scan.
+    /// Runs ungoverned — an analyze scan is engine maintenance charged to
+    /// no statement's budget — and bumps the stats version so cached plans
+    /// costed from the old estimates re-plan.
     pub fn analyze_table(&mut self, table: &str) -> Result<(), DbError> {
         let t = self.catalog.table(table)?;
         let live = t.heap.tuple_count();
         let arity = t.schema.arity();
-        // Seed from the table name and stats version: deterministic for a
-        // replayed statement sequence, yet different across re-analyzes so
-        // a pathological sample is not sticky.
-        let seed = t
-            .name
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-            })
-            .wrapping_add(t.stats.version);
-        let mut reservoir = Reservoir::new(RESERVOIR_CAP, seed);
-        let mut scan = t.heap.scan();
-        while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
-            reservoir.offer(decode_stored(table, rid, &payload)?);
-        }
+        let rescanned;
+        let reservoir = match t.stats.sample_covering(live) {
+            Some(sample) => sample,
+            None => {
+                let seed = analyze_seed(&t.name, t.stats.version);
+                let mut reservoir = Reservoir::new(RESERVOIR_CAP, seed);
+                let mut scan = t.heap.scan();
+                while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
+                    reservoir.offer(decode_stored(table, rid, &payload)?);
+                }
+                self.stats_rescans += 1;
+                rescanned = reservoir;
+                &rescanned
+            }
+        };
         let sampled = reservoir.rows().len() as u64;
         // An empty table has no distribution to describe: install no column
         // estimates (rather than degenerate zero-distinct ones) so the
@@ -1180,9 +1192,11 @@ impl Engine {
         for index in &mut t.indexes {
             index.clear();
         }
-        // Column estimates describe rows that no longer exist; dropping
-        // them also bumps the stats version so cached plans re-cost.
+        // Column estimates describe rows that no longer exist. The stats
+        // version stays put (see `TableStats::on_truncate`), so cached
+        // plans survive the LFP runtime's truncate-and-refill recycling.
         t.stats.on_truncate();
+        t.restart_sample();
         Ok(prior)
     }
 
@@ -1312,6 +1326,10 @@ impl Engine {
             }
         }
         t.stats.note_mods(n);
+        // A reservoir cannot forget rows: after a delete the write-path
+        // sample may describe rows that are gone, so analyzes rescan until
+        // the next truncate restarts it.
+        t.stats.sample = None;
         self.maybe_analyze(table)?;
         Ok(n)
     }
@@ -1558,6 +1576,7 @@ impl Engine {
         r.counter("engine.tables_created", s.tables_created);
         r.counter("engine.tables_dropped", s.tables_dropped);
         r.counter("stats.refreshes", self.stats_refreshes);
+        r.counter("stats.rescans", self.stats_rescans);
         r.counter("stats.sampled_rows", self.stats_sampled_rows);
         r.counter("plan.predicates_pushed", self.rewrite_predicates_pushed);
         r.counter("plan.projections_pruned", self.rewrite_projections_pruned);

@@ -19,6 +19,17 @@
 //! so two engines replaying the same statement sequence build identical
 //! statistics and therefore identical plans — a property the concurrent
 //! commit-replay protocol relies on.
+//!
+//! Temporary tables also keep a *write-path* sample: a reservoir that every
+//! insert offers its rows to, started empty when the table is created or
+//! truncated. While it has seen exactly the table's live rows, an analyze
+//! builds its estimates from it instead of re-reading the heap — the LFP
+//! runtime's accumulated tables grow every iteration, and re-scanning them
+//! at each churn threshold used to pull evicted pages back through the
+//! buffer pool. A delete, a rollback or a recovery drops the sample and
+//! the table falls back to the rescan until its next truncate. Persistent
+//! tables never carry one: an MVCC commit copies the written table entry,
+//! and the sample would be copied with it on every commit.
 
 use crate::schema::Tuple;
 use crate::value::Value;
@@ -60,6 +71,9 @@ pub struct TableStats {
     pub mods_since_analyze: u64,
     /// Per-column estimates, parallel to the table schema.
     pub columns: Vec<ColumnStats>,
+    /// Write-path sample of the live rows (temporary tables only; see the
+    /// module docs). `None` means an analyze must rescan the heap.
+    pub sample: Option<Reservoir>,
 }
 
 impl TableStats {
@@ -80,6 +94,22 @@ impl TableStats {
         self.analyzed_rows = 0;
         self.mods_since_analyze = 0;
         self.columns.clear();
+    }
+
+    /// Start an empty write-path sample, seeded like an analyze of this
+    /// table at the current version so a replayed statement sequence
+    /// samples the same rows.
+    pub(crate) fn start_sample(&mut self, table: &str) {
+        self.sample = Some(Reservoir::new(
+            RESERVOIR_CAP,
+            analyze_seed(table, self.version),
+        ));
+    }
+
+    /// The write-path sample, if it has seen exactly `live_rows` rows — that
+    /// is, every row the table holds and nothing it no longer holds.
+    pub fn sample_covering(&self, live_rows: u64) -> Option<&Reservoir> {
+        self.sample.as_ref().filter(|s| s.seen() == live_rows)
     }
 
     /// Whether an auto-analyze is due given the live row count. Tables
@@ -198,9 +228,22 @@ impl Histogram {
     }
 }
 
+/// Sampling seed of an analyze of `table` at stats `version`:
+/// deterministic for a replayed statement sequence, yet different across
+/// re-analyzes so a pathological sample is not sticky.
+pub(crate) fn analyze_seed(table: &str, version: u64) -> u64 {
+    table
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+        .wrapping_add(version)
+}
+
 /// Deterministic reservoir sampler (Algorithm R with a fixed xorshift
 /// stream). Deterministic sampling keeps replayed statement sequences
 /// producing identical statistics and identical plans.
+#[derive(Debug, Clone)]
 pub struct Reservoir {
     rows: Vec<Tuple>,
     seen: u64,
@@ -211,7 +254,7 @@ pub struct Reservoir {
 impl Reservoir {
     pub fn new(cap: usize, seed: u64) -> Reservoir {
         Reservoir {
-            rows: Vec::with_capacity(cap.min(1024)),
+            rows: Vec::new(),
             seen: 0,
             cap,
             // A zero state would freeze the xorshift stream.
@@ -228,17 +271,36 @@ impl Reservoir {
         x
     }
 
-    /// Offer one row to the reservoir.
-    pub fn offer(&mut self, row: Tuple) {
+    /// Count one offered row and pick the slot it takes, if any.
+    fn admit(&mut self) -> Option<usize> {
         self.seen += 1;
         if self.rows.len() < self.cap {
-            self.rows.push(row);
-            return;
+            return Some(self.rows.len());
         }
-        let j = self.next_rng() % self.seen;
-        if (j as usize) < self.cap {
-            let slot = j as usize;
+        let j = (self.next_rng() % self.seen) as usize;
+        (j < self.cap).then_some(j)
+    }
+
+    fn place(&mut self, slot: usize, row: Tuple) {
+        if slot == self.rows.len() {
+            self.rows.push(row);
+        } else {
             self.rows[slot] = row;
+        }
+    }
+
+    /// Offer one row to the reservoir.
+    pub fn offer(&mut self, row: Tuple) {
+        if let Some(slot) = self.admit() {
+            self.place(slot, row);
+        }
+    }
+
+    /// [`Reservoir::offer`] by reference: the row is cloned only when it
+    /// enters the sample. Samples the same rows as `offer` would.
+    pub(crate) fn offer_ref(&mut self, row: &Tuple) {
+        if let Some(slot) = self.admit() {
+            self.place(slot, row.clone());
         }
     }
 
@@ -366,6 +428,35 @@ mod tests {
         let a = run();
         assert_eq!(a.len(), 4);
         assert_eq!(a, run(), "same seed, same sample");
+    }
+
+    #[test]
+    fn offer_by_reference_samples_like_offer_by_value() {
+        let rows = int_rows(&(0..1000).collect::<Vec<_>>());
+        let mut by_value = Reservoir::new(16, 9);
+        let mut by_ref = Reservoir::new(16, 9);
+        for row in &rows {
+            by_value.offer(row.clone());
+            by_ref.offer_ref(row);
+        }
+        assert_eq!(by_value.rows(), by_ref.rows());
+        assert_eq!(by_ref.seen(), 1000);
+    }
+
+    #[test]
+    fn sample_covers_only_the_rows_it_saw() {
+        let mut s = TableStats::default();
+        assert!(s.sample_covering(0).is_none(), "no sample by default");
+        s.start_sample("t");
+        assert!(
+            s.sample_covering(0).is_some(),
+            "empty sample covers empty table"
+        );
+        for row in int_rows(&[1, 2, 3]) {
+            s.sample.as_mut().unwrap().offer_ref(&row);
+        }
+        assert!(s.sample_covering(3).is_some());
+        assert!(s.sample_covering(2).is_none(), "rows went missing");
     }
 
     #[test]
