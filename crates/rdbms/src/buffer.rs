@@ -15,8 +15,9 @@
 
 use crate::catalog::DbError;
 use crate::disk::{Disk, FileId, PageId};
+use crate::fxhash::FxHashMap;
 use crate::page::PAGE_SIZE;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default number of frames. 256 frames x 4 KiB = 1 MiB of buffer, small
 /// enough that the larger experiment relations actually overflow it and
@@ -59,7 +60,7 @@ struct Frame {
 /// A fixed-capacity page cache over the simulated disk.
 pub struct BufferPool {
     frames: Vec<Frame>,
-    map: HashMap<(FileId, PageId), usize>,
+    map: FxHashMap<(FileId, PageId), usize>,
     clock_hand: usize,
     /// Frames faulted in cold, oldest first. Entries go stale when the
     /// frame is promoted or evicted; `find_victim` validates on pop.
@@ -80,7 +81,7 @@ impl BufferPool {
                     cold: false,
                 })
                 .collect(),
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             clock_hand: 0,
             cold_queue: VecDeque::new(),
             stats: BufferStats::default(),

@@ -3,7 +3,7 @@
 use crate::buffer::BufferPool;
 use crate::disk::Disk;
 use crate::heap::HeapFile;
-use crate::index::HashIndex;
+use crate::index::TableIndex;
 use crate::schema::Schema;
 use crate::stats::TableStats;
 use std::collections::BTreeMap;
@@ -15,7 +15,7 @@ pub struct Table {
     pub name: String,
     pub schema: Schema,
     pub heap: HeapFile,
-    pub indexes: Vec<HashIndex>,
+    pub indexes: Vec<TableIndex>,
     /// Temporary tables are runtime scratch relations (the LFP loop's
     /// per-iteration deltas); they are listed separately in stats and
     /// dropped wholesale by `drop_temp_tables`.
@@ -211,9 +211,9 @@ impl Catalog {
             );
         }
         let mut index = if ordered {
-            HashIndex::new_ordered(index_name.to_ascii_lowercase(), key_cols)
+            TableIndex::new_ordered(index_name.to_ascii_lowercase(), key_cols)
         } else {
-            HashIndex::new(index_name.to_ascii_lowercase(), key_cols)
+            TableIndex::new(index_name.to_ascii_lowercase(), key_cols)
         };
         let mut scan = table.heap.scan();
         while let Some((rid, payload)) = scan.next(disk, pool)? {

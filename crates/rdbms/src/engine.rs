@@ -11,6 +11,7 @@ use crate::disk::{Disk, DiskStats, FaultInjector, RecoveryReport};
 use crate::exec::{
     execute_plan, ExecCtx, ExecStats, OpProfile, Profiler, SpillMode, DEFAULT_BATCH_ROWS,
 };
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::governor::{BudgetKind, ExecLimits, QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::heap::RecordId;
 use crate::plan::{output_types, plan_query, ExecCond, PlannedQuery};
@@ -1303,8 +1304,7 @@ impl Engine {
                 group_by: Vec::new(),
                 order_by: Vec::new(),
             });
-            let matching: std::collections::HashSet<Tuple> =
-                self.run_query(&query)?.rows.into_iter().collect();
+            let matching: FxHashSet<Tuple> = self.run_query(&query)?.rows.into_iter().collect();
             let t = self.catalog.table(table)?;
             let mut scan = t.heap.scan();
             let mut victims = Vec::new();
@@ -1362,8 +1362,6 @@ impl Engine {
         target: &str,
         governor: &QueryGovernor,
     ) -> Result<Vec<Tuple>, DbError> {
-        use std::collections::{HashMap, HashSet};
-
         governor.check()?;
         let src = self.catalog.table(source)?;
         if src.schema.arity() != 2 {
@@ -1383,7 +1381,7 @@ impl Engine {
         }
 
         // One scan of the source builds the adjacency map.
-        let mut adjacency: HashMap<Value, Vec<Value>> = HashMap::new();
+        let mut adjacency: FxHashMap<Value, Vec<Value>> = FxHashMap::default();
         let mut scan = src.heap.scan();
         let mut seen_rows = 0usize;
         while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
@@ -1401,9 +1399,9 @@ impl Engine {
         // Per-source BFS: closed[a] = everything reachable from a. The
         // iteration works on pointers into the adjacency map — the "buffer
         // pointer manipulation" the paper says the operator enables.
-        let mut closure: HashSet<(Value, Value)> = HashSet::new();
+        let mut closure: FxHashSet<(Value, Value)> = FxHashSet::default();
         for start in adjacency.keys() {
-            let mut seen: HashSet<&Value> = HashSet::new();
+            let mut seen: FxHashSet<&Value> = FxHashSet::default();
             let mut stack: Vec<&Value> = vec![start];
             while let Some(node) = stack.pop() {
                 for next in adjacency.get(node).into_iter().flatten() {
@@ -1420,10 +1418,10 @@ impl Engine {
         }
 
         // Deduplicate against existing target rows, then bulk-load.
-        let existing: HashSet<(Value, Value)> = {
+        let existing: FxHashSet<(Value, Value)> = {
             let tgt = self.catalog.table(target)?;
             let mut scan = tgt.heap.scan();
-            let mut out = HashSet::new();
+            let mut out = FxHashSet::default();
             let mut seen_rows = 0usize;
             while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
                 if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {

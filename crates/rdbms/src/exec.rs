@@ -9,13 +9,14 @@
 use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, DbError};
 use crate::disk::Disk;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::governor::{QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::heap::RecordId;
 use crate::plan::{ExecCond, KeyExpr, PhysPlan, ProjExpr};
 use crate::schema::{deserialize_tuple, serialize_tuple, Tuple};
 use crate::spill::{decode_seq_tuple, encode_seq_tuple, partition_of, SpillFile, SpillWriter};
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// When memory-bounded operators may divert state to spill files
 /// instead of failing the statement.
@@ -652,6 +653,117 @@ fn finish_par(ctx: &mut ExecCtx<'_>, results: Vec<WorkerResult>) -> Result<Vec<T
     }
 }
 
+/// A composite key borrowed from a row: the `cols` columns of `row`,
+/// hashed and compared column by column. Joins and anti-joins key their
+/// hash tables by it, so no key is copied out of its row.
+#[derive(Clone, Copy)]
+struct KeyRef<'a> {
+    row: &'a [Value],
+    cols: &'a [usize],
+}
+
+impl<'a> KeyRef<'a> {
+    fn new(row: &'a [Value], cols: &'a [usize]) -> KeyRef<'a> {
+        KeyRef { row, cols }
+    }
+}
+
+impl Hash for KeyRef<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        for &c in self.cols {
+            self.row[c].hash(h);
+        }
+    }
+}
+
+impl PartialEq for KeyRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols.len() == other.cols.len()
+            && self
+                .cols
+                .iter()
+                .zip(other.cols)
+                .all(|(&a, &b)| self.row[a] == other.row[b])
+    }
+}
+
+impl Eq for KeyRef<'_> {}
+
+/// End of a [`KeyGroups`] chain.
+const NO_ROW: usize = usize::MAX;
+
+/// The rows of a slice grouped by key, each group in input order, with
+/// no allocation per key: the map holds each key's first and last row
+/// and `next` chains every row to the following one with the same key.
+struct KeyGroups<'a> {
+    ends: FxHashMap<KeyRef<'a>, (usize, usize)>,
+    next: Vec<usize>,
+}
+
+impl<'a> KeyGroups<'a> {
+    fn with_capacity(rows: usize) -> KeyGroups<'a> {
+        let mut ends = FxHashMap::default();
+        ends.reserve(rows);
+        KeyGroups {
+            ends,
+            next: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Group all of `rows` by their `cols`.
+    fn of(rows: &'a [Tuple], cols: &'a [usize]) -> KeyGroups<'a> {
+        let mut groups = KeyGroups::with_capacity(rows.len());
+        for row in rows {
+            groups.push(KeyRef::new(row, cols));
+        }
+        groups
+    }
+
+    /// Add the next row (index `next.len()`) under `key`.
+    fn push(&mut self, key: KeyRef<'a>) {
+        let i = self.next.len();
+        self.next.push(NO_ROW);
+        let next = &mut self.next;
+        self.ends
+            .entry(key)
+            .and_modify(|(_, last)| {
+                next[*last] = i;
+                *last = i;
+            })
+            .or_insert((i, i));
+    }
+
+    /// Indexes of the rows whose key equals `key`, in input order.
+    fn get(&self, key: &KeyRef<'_>) -> impl Iterator<Item = usize> + '_ {
+        let mut cur = self.ends.get(key).map_or(NO_ROW, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            let i = cur;
+            (i != NO_ROW).then(|| {
+                cur = self.next[i];
+                i
+            })
+        })
+    }
+}
+
+/// Mark the first occurrence of every row of `rows` that is not in
+/// `exclude` — the rows DISTINCT, UNION and EXCEPT keep.
+fn first_occurrences(rows: &[Tuple], exclude: &[Tuple]) -> Vec<bool> {
+    let exclude: FxHashSet<&Tuple> = exclude.iter().collect();
+    let mut seen: FxHashSet<&Tuple> = FxHashSet::default();
+    seen.reserve(rows.len());
+    rows.iter()
+        .map(|r| !exclude.contains(r) && seen.insert(r))
+        .collect()
+}
+
+/// Keep the first occurrence of every row not in `exclude`, in order.
+fn dedup_rows(mut rows: Vec<Tuple>, exclude: &[Tuple]) -> Vec<Tuple> {
+    let mut keep = first_occurrences(&rows, exclude).into_iter();
+    rows.retain(|_| keep.next() == Some(true));
+    rows
+}
+
 /// Evaluate one resolved condition against a flat row.
 fn eval_cond(cond: &ExecCond, row: &[Value], params: &[Value]) -> bool {
     match cond {
@@ -810,9 +922,9 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             let index = &t.indexes[*index_pos];
             let key = resolve_key(key, ctx.params);
             ctx.count_probe();
-            let rids: Vec<_> = index.lookup(&key).to_vec();
+            let rids = index.lookup(&key);
             let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
+            for &rid in rids {
                 let payload = fetch_indexed(ctx, t, rid)?;
                 ctx.count_fetched();
                 let tuple = decode_tuple(table, rid, &payload)?;
@@ -892,11 +1004,10 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             if let Some(g) = ctx.governor {
                 g.charge_bytes(build_bytes)?;
             }
-            let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
+            let mut table = KeyGroups::with_capacity(build.len());
             for (bi, row) in build.iter().enumerate() {
                 gov_tick(ctx.governor, bi)?;
-                let key: Vec<Value> = build_keys.iter().map(|&i| row[i].clone()).collect();
-                table.entry(key).or_default().push(row);
+                table.push(KeyRef::new(row, build_keys));
             }
             ctx.prof_build(build.len() as u64);
             // The hash table is built once and shared read-only; probe rows
@@ -914,23 +1025,21 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                     }
                     c.batches += 1;
                     for prow in sub {
-                        let key: Vec<Value> = probe_keys.iter().map(|&i| prow[i].clone()).collect();
-                        if let Some(matches) = table.get(&key) {
-                            for brow in matches {
-                                let (lrow, rrow): (&Tuple, &Tuple) = if build_left {
-                                    (brow, prow)
-                                } else {
-                                    (prow, brow)
-                                };
-                                let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
-                                joined.extend_from_slice(lrow);
-                                joined.extend_from_slice(rrow);
-                                if eval_all(residual, &joined, params) {
-                                    c.join_output += 1;
-                                    out.push(joined);
-                                } else {
-                                    c.dropped += 1;
-                                }
+                        for bi in table.get(&KeyRef::new(prow, probe_keys)) {
+                            let brow = &build[bi];
+                            let (lrow, rrow): (&Tuple, &Tuple) = if build_left {
+                                (brow, prow)
+                            } else {
+                                (prow, brow)
+                            };
+                            let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
+                            joined.extend_from_slice(lrow);
+                            joined.extend_from_slice(rrow);
+                            if eval_all(residual, &joined, params) {
+                                c.join_output += 1;
+                                out.push(joined);
+                            } else {
+                                c.dropped += 1;
                             }
                         }
                     }
@@ -961,8 +1070,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                 (left_rows.len() as u64) < t.heap.tuple_count().max(ANTI_JOIN_PROBE_FLOOR);
             if !probe_pays {
                 ctx.stats.join_adaptive_flips += 1;
-                let key_cols = index.key_cols().to_vec();
-                let mut inner_table: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
+                let mut inner: Vec<Tuple> = Vec::new();
                 let mut scan = t.heap.scan();
                 loop {
                     if let Some(g) = ctx.governor {
@@ -980,26 +1088,24 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                             ctx.prof_drop();
                             continue;
                         }
-                        let key: Vec<Value> = key_cols.iter().map(|&i| tuple[i].clone()).collect();
-                        inner_table.entry(key).or_default().push(tuple);
+                        inner.push(tuple);
                     }
                 }
-                ctx.prof_build(inner_table.values().map(|v| v.len() as u64).sum());
+                ctx.prof_build(inner.len() as u64);
+                let groups = KeyGroups::of(&inner, index.key_cols());
                 let mut out = Vec::new();
                 for (li, lrow) in left_rows.iter().enumerate() {
                     gov_tick(ctx.governor, li)?;
-                    let key: Vec<Value> = left_keys.iter().map(|&i| lrow[i].clone()).collect();
-                    if let Some(matches) = inner_table.get(&key) {
-                        for inner in matches {
-                            let mut joined = Vec::with_capacity(lrow.len() + inner.len());
-                            joined.extend_from_slice(lrow);
-                            joined.extend_from_slice(inner);
-                            if eval_all(residual, &joined, ctx.params) {
-                                ctx.stats.join_output += 1;
-                                out.push(joined);
-                            } else {
-                                ctx.prof_drop();
-                            }
+                    for ii in groups.get(&KeyRef::new(lrow, left_keys)) {
+                        let irow = &inner[ii];
+                        let mut joined = Vec::with_capacity(lrow.len() + irow.len());
+                        joined.extend_from_slice(lrow);
+                        joined.extend_from_slice(irow);
+                        if eval_all(residual, &joined, ctx.params) {
+                            ctx.stats.join_output += 1;
+                            out.push(joined);
+                        } else {
+                            ctx.prof_drop();
                         }
                     }
                 }
@@ -1013,10 +1119,8 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                     }
                     ctx.count_batch();
                 }
-                let key: Vec<Value> = left_keys.iter().map(|&i| lrow[i].clone()).collect();
                 ctx.count_probe();
-                let rids: Vec<_> = index.lookup(&key).to_vec();
-                for rid in rids {
+                for &rid in index.lookup_cols(lrow, left_keys) {
                     let payload = fetch_indexed(ctx, t, rid)?;
                     ctx.count_fetched();
                     let inner = decode_tuple(table, rid, &payload)?;
@@ -1069,9 +1173,8 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                     let mut out = Vec::new();
                     for (ri, row) in chunk.into_iter().enumerate() {
                         gov_tick(gov, ri)?;
-                        let key: Vec<Value> = outer_keys.iter().map(|&i| row[i].clone()).collect();
                         c.probes += 1;
-                        if index.lookup(&key).is_empty() {
+                        if index.lookup_cols(&row, outer_keys).is_empty() {
                             out.push(row);
                         }
                     }
@@ -1084,7 +1187,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             // `inner_filters` is empty — the scan fallback is unchanged.
             let mut scan = t.heap.scan();
             let batch = ctx.batch_rows.max(1);
-            let mut keys: HashSet<Vec<Value>> = HashSet::new();
+            let mut inner: Vec<Tuple> = Vec::new();
             let mut inner_nonempty = false;
             loop {
                 if let Some(g) = ctx.governor {
@@ -1103,7 +1206,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                     }
                     inner_nonempty = true;
                     if !inner_keys.is_empty() {
-                        keys.insert(inner_keys.iter().map(|&i| tuple[i].clone()).collect());
+                        inner.push(tuple);
                     }
                 }
             }
@@ -1113,13 +1216,14 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             }
             // Membership tests against the frozen key set are pure reads;
             // partition the outer rows like the probing path.
+            let keys: FxHashSet<KeyRef> =
+                inner.iter().map(|t| KeyRef::new(t, inner_keys)).collect();
             let gov = ctx.governor;
             par_run_owned(ctx, rows, |chunk, _c| {
                 let mut out = Vec::new();
                 for (ri, row) in chunk.into_iter().enumerate() {
                     gov_tick(gov, ri)?;
-                    let key: Vec<Value> = outer_keys.iter().map(|&i| row[i].clone()).collect();
-                    if !keys.contains(&key) {
+                    if !keys.contains(&KeyRef::new(&row, outer_keys)) {
                         out.push(row);
                     }
                 }
@@ -1173,6 +1277,13 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
         }
         PhysPlan::Project { child, exprs } => {
             let rows = execute_plan(child, ctx)?;
+            let identity = exprs
+                .iter()
+                .enumerate()
+                .all(|(i, e)| matches!(e, ProjExpr::Col(c) if *c == i));
+            if identity && rows.first().is_none_or(|r| r.len() == exprs.len()) {
+                return Ok(rows);
+            }
             Ok(rows
                 .into_iter()
                 .map(|row| {
@@ -1192,11 +1303,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             if spill_engaged(ctx, state) && !rows.is_empty() {
                 return spill_dedup(ctx, rows, None, state);
             }
-            let mut seen = HashSet::with_capacity(rows.len());
-            Ok(rows
-                .into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect())
+            Ok(dedup_rows(rows, &[]))
         }
         PhysPlan::Sort { child, keys } => {
             let mut rows = execute_plan(child, ctx)?;
@@ -1213,24 +1320,21 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
         }
         PhysPlan::GroupCount { child, keys } => {
             let rows = execute_plan(child, ctx)?;
-            // Insertion-ordered grouping so output is deterministic.
-            let mut order: Vec<Vec<Value>> = Vec::new();
-            let mut counts: HashMap<Vec<Value>, i64> = HashMap::new();
-            for row in rows {
-                let key: Vec<Value> = keys.iter().map(|&i| row[i].clone()).collect();
-                match counts.get_mut(&key) {
-                    Some(c) => *c += 1,
-                    None => {
-                        counts.insert(key.clone(), 1);
-                        order.push(key);
-                    }
-                }
+            // Groups in order of first occurrence, so output is
+            // deterministic: (first row, count) per group.
+            let mut groups: FxHashMap<KeyRef, usize> = FxHashMap::default();
+            let mut order: Vec<(usize, i64)> = Vec::new();
+            for (i, row) in rows.iter().enumerate() {
+                let g = *groups.entry(KeyRef::new(row, keys)).or_insert_with(|| {
+                    order.push((i, 0));
+                    order.len() - 1
+                });
+                order[g].1 += 1;
             }
             Ok(order
                 .into_iter()
-                .map(|key| {
-                    let count = counts[&key];
-                    let mut row = key;
+                .map(|(first, count)| {
+                    let mut row: Tuple = keys.iter().map(|&k| rows[first][k].clone()).collect();
                     row.push(Value::Int(count));
                     row
                 })
@@ -1248,11 +1352,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             if spill_engaged(ctx, state) && !rows.is_empty() {
                 return spill_dedup(ctx, rows, None, state);
             }
-            let mut seen = HashSet::with_capacity(rows.len());
-            Ok(rows
-                .into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect())
+            Ok(dedup_rows(rows, &[]))
         }
         PhysPlan::Except { left, right } => {
             let rows = execute_plan(left, ctx)?;
@@ -1261,12 +1361,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             if spill_engaged(ctx, state) && !rows.is_empty() {
                 return spill_dedup(ctx, rows, Some(right_rows), state);
             }
-            let exclude: HashSet<Tuple> = right_rows.into_iter().collect();
-            let mut seen = HashSet::new();
-            Ok(rows
-                .into_iter()
-                .filter(|r| !exclude.contains(r) && seen.insert(r.clone()))
-                .collect())
+            Ok(dedup_rows(rows, &right_rows))
         }
     }
 }
@@ -1346,11 +1441,7 @@ fn grace_hash_join(
                 break 'parts;
             }
         }
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (bi, row) in part_build.iter().enumerate() {
-            let key: Vec<Value> = build_keys.iter().map(|&k| row[k].clone()).collect();
-            table.entry(key).or_default().push(bi);
-        }
+        let table = KeyGroups::of(&part_build, build_keys);
         counts.batches += 1;
         let mut reader = pf.reader();
         let mut pi = 0usize;
@@ -1375,24 +1466,21 @@ fn grace_hash_join(
                     break 'parts;
                 }
             };
-            let key: Vec<Value> = probe_keys.iter().map(|&k| prow[k].clone()).collect();
-            if let Some(matches) = table.get(&key) {
-                for &bi in matches {
-                    let brow = &part_build[bi];
-                    let (lrow, rrow): (&Tuple, &Tuple) = if build_left {
-                        (brow, &prow)
-                    } else {
-                        (&prow, brow)
-                    };
-                    let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
-                    joined.extend_from_slice(lrow);
-                    joined.extend_from_slice(rrow);
-                    if eval_all(residual, &joined, ctx.params) {
-                        counts.join_output += 1;
-                        tagged.push((seq, joined));
-                    } else {
-                        counts.dropped += 1;
-                    }
+            for bi in table.get(&KeyRef::new(&prow, probe_keys)) {
+                let brow = &part_build[bi];
+                let (lrow, rrow): (&Tuple, &Tuple) = if build_left {
+                    (brow, &prow)
+                } else {
+                    (&prow, brow)
+                };
+                let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
+                joined.extend_from_slice(lrow);
+                joined.extend_from_slice(rrow);
+                if eval_all(residual, &joined, ctx.params) {
+                    counts.join_output += 1;
+                    tagged.push((seq, joined));
+                } else {
+                    counts.dropped += 1;
                 }
             }
         }
@@ -1547,25 +1635,29 @@ fn spill_dedup(
     let mut tagged: Vec<(u64, Tuple)> = Vec::new();
     let mut run = || -> Result<(), DbError> {
         for (p, rf) in row_files.iter().enumerate() {
-            let mut excluded: HashSet<Tuple> = HashSet::new();
+            let mut excluded: Vec<Tuple> = Vec::new();
             if let Some(ef) = ex_files.get(p) {
                 let mut reader = ef.reader();
                 while let Some(t) = read_spilled_tuple(&mut reader, ctx.disk)? {
                     gov_tick(ctx.governor, excluded.len())?;
-                    excluded.insert(t);
+                    excluded.push(t);
                 }
             }
-            let mut seen: HashSet<Tuple> = HashSet::new();
+            let (mut seqs, mut part) = (Vec::new(), Vec::new());
             let mut reader = rf.reader();
-            let mut i = 0usize;
             while let Some(payload) = reader.next(ctx.disk)? {
-                gov_tick(ctx.governor, i)?;
-                i += 1;
+                gov_tick(ctx.governor, part.len())?;
                 let (seq, t) = decode_seq_tuple(&payload)?;
-                if !excluded.contains(&t) && seen.insert(t.clone()) {
-                    tagged.push((seq, t));
-                }
+                seqs.push(seq);
+                part.push(t);
             }
+            let keep = first_occurrences(&part, &excluded);
+            tagged.extend(
+                seqs.into_iter()
+                    .zip(part)
+                    .zip(keep)
+                    .filter_map(|(row, keep)| keep.then_some(row)),
+            );
         }
         Ok(())
     };

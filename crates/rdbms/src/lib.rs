@@ -54,6 +54,7 @@ pub mod cost;
 pub mod disk;
 pub mod engine;
 pub mod exec;
+mod fxhash;
 pub mod governor;
 pub mod heap;
 pub mod index;

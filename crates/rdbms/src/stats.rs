@@ -31,9 +31,9 @@
 //! tables never carry one: an MVCC commit copies the written table entry,
 //! and the sample would be copied with it on every commit.
 
+use crate::fxhash::FxHashMap;
 use crate::schema::Tuple;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::ops::Bound;
 
 /// Rows retained by the reservoir sampler during an analyze scan.
@@ -326,7 +326,7 @@ impl Reservoir {
 /// Build one column's estimates from sampled values. `total_rows` is the
 /// table's live row count; the sample is `values` (size `n <= total_rows`).
 fn build_column<'a>(values: impl Iterator<Item = &'a Value>, total_rows: u64) -> ColumnStats {
-    let mut counts: HashMap<&Value, u64> = HashMap::new();
+    let mut counts: FxHashMap<&Value, u64> = FxHashMap::default();
     let mut min: Option<&Value> = None;
     let mut max: Option<&Value> = None;
     let mut n = 0u64;
